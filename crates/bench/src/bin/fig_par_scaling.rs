@@ -1,11 +1,13 @@
 //! Parallel local-scan scaling through the **engine API**: real (not
 //! simulated) throughput of a single-PE `ReservoirProtocol<CommBackend>`
-//! batch step over 1..=8 scan threads, against the sequential
-//! `LocalReservoir` jump-scan baseline, on this machine — the path every
-//! production batch takes, not a bare reservoir micro-loop. Each width is
-//! swept twice: with the default per-scope worker pool and with the
-//! persistent crew (`DistConfig::with_persistent_pool`), whose per-batch
-//! spawn count drops to zero.
+//! batch step over 1..=8 scan threads, on the machine it runs on — the
+//! path every production batch takes, not a bare reservoir micro-loop.
+//! `speedup_vs_seq` divides by the same engine step at one scan thread
+//! (the sequential local scan) over the same items and k, so both sides
+//! of the ratio do the same work. Each width is swept twice: with the
+//! default per-scope worker pool and with the persistent crew
+//! (`DistConfig::with_persistent_pool`), whose per-batch spawn count
+//! drops to zero.
 //!
 //! Each (threads, pool) point is additionally swept over both **merge
 //! schedules**: the buffered scan epilogue and the concurrent shared-tree
@@ -31,7 +33,6 @@ use std::time::Instant;
 
 use reservoir_bench::calibrate;
 use reservoir_core::dist::engine::ReservoirProtocol;
-use reservoir_core::dist::local::LocalReservoir;
 use reservoir_core::dist::sim::LocalCostModel;
 use reservoir_core::dist::threaded::CommBackend;
 use reservoir_core::dist::{DistConfig, MergeMode};
@@ -93,17 +94,22 @@ fn main() {
         .map(|i| Item::new(i, rng.rand_oc() * 100.0))
         .collect();
 
-    // Sequential baseline: the classic LocalReservoir jump scan (kept
-    // identical across bench generations so speedups stay comparable).
-    let mut seq = LocalReservoir::new(K, 32);
-    let mut seq_rng = default_rng(1);
-    let _ = seq.process_weighted(&items, Some(1e-6), &mut seq_rng);
-    let seq_s = time_reps(
-        || {
-            let _ = seq.process_weighted(&items, Some(1e-6), &mut seq_rng);
-        },
-        reps,
-    );
+    // Sequential baseline: the same single-PE engine step at one scan
+    // thread (the sequential local scan) over the same items and k.
+    let items_ref = &items;
+    let seq_s = reservoir_comm::run_threads(1, move |comm| {
+        let cfg = DistConfig::weighted(K, 1)
+            .with_threads(1)
+            .with_merge(MergeMode::Epilogue);
+        let mut engine = ReservoirProtocol::new(CommBackend::new(&comm, &cfg), cfg);
+        let _ = engine.step(items_ref);
+        time_reps(
+            || {
+                let _ = engine.step(items_ref);
+            },
+            reps,
+        )
+    })[0];
     let baseline = b as f64 / seq_s;
 
     let mut sweep = Vec::new();
@@ -122,7 +128,6 @@ fn main() {
                 for &leaf_affinity in affinities {
                     // One PE over the engine: every measured batch runs the
                     // full insert_scan → count → select_prune step.
-                    let items_ref = &items;
                     let result = reservoir_comm::run_threads(1, move |comm| {
                         let cfg = DistConfig::weighted(K, 1)
                             .with_threads(threads)
@@ -181,7 +186,7 @@ fn main() {
     // --- stdout table ---------------------------------------------------
     println!("### fig_par_scaling — engine batch step, weighted, b = {b}, k = {K}");
     println!(
-        "host cores: {cores}; sequential baseline: {:.3e} items/s; \
+        "host cores: {cores}; one-thread engine step baseline: {:.3e} items/s; \
          calibrated serial fraction: {:.3}",
         baseline, costs.par_serial_frac
     );

@@ -20,6 +20,15 @@
 //!   worst case, which is negligible at reservoir sizes (one split per
 //!   mini-batch).
 //!
+//! Besides per-item `insert`, [`BPlusTree::extend_sorted`] merges a whole
+//! sorted run in one descent: the run is partitioned by the separators,
+//! each leaf is merged with its slice linearly, overfull nodes are
+//! re-chunked into near-equal nodes (each at least half full) and subtrees
+//! the run does not reach are left alone. The parallel scan's epilogue
+//! feeds it the merged, sorted survivors of a batch.
+//! [`BPlusTree::from_sorted`] shares its near-equal chunking and builds a
+//! tree in O(n).
+//!
 //! The element type is generic, but the crate also ships [`SampleKey`] — the
 //! `(f64 key, u64 item id)` composite key used by all the samplers, with a
 //! total order (`f64::total_cmp`, then id) so keys are unique even in the

@@ -52,51 +52,38 @@ impl<K: Ord + Clone, V> BPlusTree<K, V> {
         if entries.is_empty() {
             return Self::with_degree(degree);
         }
-        let min_fill = degree / 2;
-        // Chunk entries into leaves, keeping every leaf at least half full.
-        let mut level: Vec<Node<K, V>> = Vec::with_capacity(entries.len() / degree + 1);
-        let mut entries = entries;
-        while !entries.is_empty() {
-            let take = if entries.len() > degree && entries.len() < degree + min_fill {
-                // Splitting `degree..degree+min_fill` entries evenly keeps
-                // both final leaves at least half full.
-                entries.len() / 2
-            } else {
-                entries.len().min(degree)
-            };
-            let rest = entries.split_off(take);
-            level.push(Node::Leaf(entries));
-            entries = rest;
-        }
-        // Build inner levels until a single root remains.
-        while level.len() > 1 {
-            let mut next: Vec<Node<K, V>> = Vec::with_capacity(level.len() / 2 + 1);
-            let mut nodes = level;
-            while !nodes.is_empty() {
-                let take = if nodes.len() > degree && nodes.len() < degree + min_fill {
-                    nodes.len() / 2
-                } else {
-                    nodes.len().min(degree)
-                };
-                let rest = nodes.split_off(take);
-                if nodes.len() == 1 {
-                    // A single leftover child would make an invalid inner
-                    // node; only possible when this is the final root level.
-                    next.push(nodes.pop().expect("one node"));
-                } else {
-                    let seps = nodes[..nodes.len() - 1]
-                        .iter()
-                        .map(|c| c.max_key().expect("nonempty").clone())
-                        .collect();
-                    next.push(Node::Inner(Inner::from_parts(seps, nodes)));
-                }
-                nodes = rest;
-            }
-            level = next;
-        }
+        let (mut leaves, mut seps) = (Vec::new(), Vec::new());
+        chunk_leaves(entries, degree, &mut leaves, &mut seps);
         BPlusTree {
-            root: level.pop().expect("nonempty level"),
+            root: build_up(leaves, seps, degree),
             degree,
+        }
+    }
+
+    /// Merge a run of `(key, value)` pairs sorted by key into the tree in
+    /// one descent: the run is partitioned by the separators on the way
+    /// down and each leaf is merged with its slice linearly. Overfull
+    /// nodes are re-chunked into near-equal nodes (each at least half
+    /// full), the root grows as needed, and subtrees the run does not
+    /// reach are left untouched. Where a key repeats — within the run or
+    /// against the tree — the later entry's value wins, exactly as if the
+    /// run were inserted entry by entry. O(n_run + touched nodes · degree).
+    pub fn extend_sorted(&mut self, run: Vec<(K, V)>) {
+        debug_assert!(
+            run.windows(2).all(|w| w[0].0 <= w[1].0),
+            "extend_sorted requires a run sorted by key"
+        );
+        if run.is_empty() {
+            return;
+        }
+        let mut run = run.into_iter();
+        let mut spilled = Siblings::new();
+        extend_node(&mut self.root, &mut run, None, self.degree, &mut spilled);
+        debug_assert!(run.as_slice().is_empty(), "the root takes the whole run");
+        if !spilled.nodes.is_empty() {
+            let root = mem::replace(&mut self.root, Node::empty_leaf());
+            spilled.nodes.insert(0, root);
+            self.root = build_up(spilled.nodes, spilled.seps, self.degree);
         }
     }
 
@@ -427,6 +414,184 @@ fn insert_rec<K: Ord + Clone, V>(
             }
         }
     }
+}
+
+/// Lengths of the fewest near-equal pieces (at most `degree` each) that
+/// `n` items split into. Lengths differ by at most one, so when
+/// `n > degree` every piece holds more than `degree / 2`.
+fn piece_lens(n: usize, degree: usize) -> impl Iterator<Item = usize> {
+    let pieces = n.div_ceil(degree).max(1);
+    let (base, longer) = (n / pieces, n % pieces);
+    (0..pieces).map(move |j| base + usize::from(j < longer))
+}
+
+/// Chunk sorted entries into near-equal leaves with one consuming pass,
+/// appending the leaves to `nodes` and the separators between them to
+/// `seps`.
+fn chunk_leaves<K: Ord + Clone, V>(
+    entries: Vec<(K, V)>,
+    degree: usize,
+    nodes: &mut Vec<Node<K, V>>,
+    seps: &mut Vec<K>,
+) {
+    let mut entries = entries.into_iter();
+    let mut prev_max = None;
+    for len in piece_lens(entries.len(), degree) {
+        let leaf: Vec<(K, V)> = entries.by_ref().take(len).collect();
+        let max = leaf.last().expect("nonempty leaf").0.clone();
+        seps.extend(prev_max.replace(max));
+        nodes.push(Node::Leaf(leaf));
+    }
+}
+
+/// Group sibling nodes (with the separators between them) into near-equal
+/// inner nodes of at most `degree` children, appending the inner nodes to
+/// `groups` and the separators between them to `group_seps`. Needs at
+/// least two nodes.
+fn chunk_inner<K: Ord + Clone, V>(
+    nodes: Vec<Node<K, V>>,
+    seps: Vec<K>,
+    degree: usize,
+    groups: &mut Vec<Node<K, V>>,
+    group_seps: &mut Vec<K>,
+) {
+    debug_assert!(nodes.len() >= 2 && seps.len() + 1 == nodes.len());
+    let mut nodes = nodes.into_iter();
+    let mut seps = seps.into_iter();
+    for (j, len) in piece_lens(nodes.len(), degree).enumerate() {
+        if j > 0 {
+            group_seps.push(seps.next().expect("separator between groups"));
+        }
+        let children: Vec<Node<K, V>> = nodes.by_ref().take(len).collect();
+        let inner_seps: Vec<K> = seps.by_ref().take(len - 1).collect();
+        groups.push(Node::Inner(Inner::from_parts(inner_seps, children)));
+    }
+}
+
+/// Stack inner levels over same-height sibling nodes until one root
+/// remains.
+fn build_up<K: Ord + Clone, V>(
+    mut nodes: Vec<Node<K, V>>,
+    mut seps: Vec<K>,
+    degree: usize,
+) -> Node<K, V> {
+    while nodes.len() > 1 {
+        let mut groups = Vec::with_capacity(nodes.len().div_ceil(degree));
+        let mut group_seps = Vec::with_capacity(groups.capacity());
+        chunk_inner(nodes, seps, degree, &mut groups, &mut group_seps);
+        (nodes, seps) = (groups, group_seps);
+    }
+    nodes.pop().expect("at least one node")
+}
+
+/// The right siblings a node spilled into, and before each of them the
+/// separator (the max key of the node to its left) the parent needs.
+struct Siblings<K, V> {
+    seps: Vec<K>,
+    nodes: Vec<Node<K, V>>,
+}
+
+impl<K, V> Siblings<K, V> {
+    fn new() -> Self {
+        Siblings {
+            seps: Vec::new(),
+            nodes: Vec::new(),
+        }
+    }
+
+    /// After a re-chunk appended a node's pieces: the first piece becomes
+    /// the node, the rest stay as its right siblings.
+    fn keep_first(&mut self, node: &mut Node<K, V>) {
+        *node = self.nodes.remove(0);
+    }
+}
+
+/// Merge the prefix of `run` with keys `<= hi` (the whole run when `hi` is
+/// `None`) into the subtree at `node`, which must be the subtree routing
+/// sends those keys to. The node's cached size is updated in place; the
+/// right siblings it spills into are appended to `spilled` (empty on
+/// entry).
+fn extend_node<K: Ord + Clone, V>(
+    node: &mut Node<K, V>,
+    run: &mut std::vec::IntoIter<(K, V)>,
+    hi: Option<&K>,
+    degree: usize,
+    spilled: &mut Siblings<K, V>,
+) {
+    match node {
+        Node::Leaf(entries) => {
+            let take = match hi {
+                Some(hi) => run.as_slice().partition_point(|(k, _)| k <= hi),
+                None => run.len(),
+            };
+            let merged = merge_entries(mem::take(entries), run.by_ref().take(take));
+            if merged.len() <= degree {
+                *entries = merged;
+                return;
+            }
+            chunk_leaves(merged, degree, &mut spilled.nodes, &mut spilled.seps);
+            spilled.keep_first(node);
+        }
+        Node::Inner(inner) => {
+            let mut below = Siblings::new();
+            let mut i = 0;
+            while let Some((k, _)) = run.as_slice().first() {
+                if hi.is_some_and(|hi| k > hi) {
+                    break;
+                }
+                // Every key left in the run is above the separators of
+                // the children already merged, so routing resumes at `i`.
+                i += inner.seps[i..].partition_point(|s| s < k);
+                let child_hi = inner.seps.get(i).or(hi);
+                let child_before = inner.children[i].size();
+                extend_node(&mut inner.children[i], run, child_hi, degree, &mut below);
+                inner.size += inner.children[i].size()
+                    + below.nodes.iter().map(Node::size).sum::<usize>()
+                    - child_before;
+                if !below.nodes.is_empty() {
+                    let added = below.nodes.len();
+                    inner.seps.splice(i..i, below.seps.drain(..));
+                    inner.children.splice(i + 1..i + 1, below.nodes.drain(..));
+                    i += added;
+                }
+            }
+            if inner.children.len() > degree {
+                let children = mem::take(&mut inner.children);
+                let seps = mem::take(&mut inner.seps);
+                chunk_inner(
+                    children,
+                    seps,
+                    degree,
+                    &mut spilled.nodes,
+                    &mut spilled.seps,
+                );
+                spilled.keep_first(node);
+            }
+        }
+    }
+}
+
+/// Linear merge of a sorted leaf with a sorted run slice; on equal keys
+/// the later entry (run over leaf, later run entry over earlier) wins.
+fn merge_entries<K: Ord, V>(
+    leaf: Vec<(K, V)>,
+    run: impl ExactSizeIterator<Item = (K, V)>,
+) -> Vec<(K, V)> {
+    let mut out: Vec<(K, V)> = Vec::with_capacity(leaf.len() + run.len());
+    let mut leaf = leaf.into_iter().peekable();
+    for (k, v) in run {
+        while let Some(entry) = leaf.next_if(|(lk, _)| *lk < k) {
+            out.push(entry);
+        }
+        // An equal leaf key is replaced: the run entry takes its place.
+        let _replaced = leaf.next_if(|(lk, _)| *lk == k);
+        match out.last_mut() {
+            Some(last) if last.0 == k => last.1 = v,
+            _ => out.push((k, v)),
+        }
+    }
+    out.extend(leaf);
+    out
 }
 
 /// Result of attaching a subtree along a spine.
@@ -879,6 +1044,19 @@ mod tests {
             for i in 0..n as u64 {
                 assert_eq!(t.get(&i), Some(&(i * 2)), "n={n} key={i}");
             }
+        }
+    }
+
+    #[test]
+    fn from_sorted_is_linear_at_reservoir_scale() {
+        // Reservoir scale: a quadratic build would stall this test.
+        let n = 1u64 << 17;
+        let t = BPlusTree::from_sorted((0..n).map(|i| (i * 2, i)).collect(), DEFAULT_DEGREE);
+        t.check_invariants();
+        assert_eq!(t.len(), n as usize);
+        for i in (0..n).step_by(97) {
+            assert_eq!(t.get(&(i * 2)), Some(&i));
+            assert_eq!(t.get(&(i * 2 + 1)), None);
         }
     }
 

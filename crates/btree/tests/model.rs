@@ -1,6 +1,8 @@
 //! Property-based model tests: the B+ tree must behave exactly like
 //! `std::collections::BTreeMap` under arbitrary operation sequences, and all
-//! structural invariants must hold after every operation.
+//! structural invariants must hold after every operation. The bulk merge
+//! `extend_sorted` must leave exactly the tree that per-item `insert`s of
+//! the same run leave.
 
 use proptest::prelude::*;
 use reservoir_btree::{BPlusTree, SampleKey};
@@ -33,6 +35,86 @@ fn check_equal(tree: &BPlusTree<u64, u32>, model: &BTreeMap<u64, u32>) {
     let tree_pairs: Vec<(u64, u32)> = tree.iter().map(|(k, v)| (*k, *v)).collect();
     let model_pairs: Vec<(u64, u32)> = model.iter().map(|(k, v)| (*k, *v)).collect();
     assert_eq!(tree_pairs, model_pairs);
+}
+
+/// Degrees the bulk-merge model runs at: the minimum, an odd degree, a
+/// small even one and the samplers' default.
+const EXTEND_DEGREES: [usize; 4] = [4, 5, 8, 32];
+
+/// Where a bulk-merged run lands relative to the tree it merges into
+/// (tree keys are drawn from `TREE_KEYS`).
+#[derive(Clone, Copy, Debug)]
+enum RunShape {
+    Empty,
+    Single,
+    /// A handful of entries spread over the tree's key range.
+    Sparse,
+    /// More entries than the tree holds, over the tree's key range.
+    Dense,
+    BelowMin,
+    AboveMax,
+    /// Half the tree's own keys with new values, plus fresh keys.
+    Overlap,
+    /// A dense run onto an empty tree.
+    OntoEmpty,
+}
+
+const RUN_SHAPES: [RunShape; 8] = [
+    RunShape::Empty,
+    RunShape::Single,
+    RunShape::Sparse,
+    RunShape::Dense,
+    RunShape::BelowMin,
+    RunShape::AboveMax,
+    RunShape::Overlap,
+    RunShape::OntoEmpty,
+];
+
+const TREE_KEYS: std::ops::Range<u64> = 10_000..20_000;
+
+/// The run of `shape` built from raw draws, sorted by key (stable, so a
+/// key drawn twice keeps its draw order and the later value wins).
+fn run_of(shape: RunShape, base: &BTreeMap<u64, u32>, raw: &[(u64, u32)]) -> Vec<(u64, u32)> {
+    let within = |lo: u64, hi: u64| move |&(k, v): &(u64, u32)| (lo + k % (hi - lo), v);
+    let min = base.keys().next().copied().unwrap_or(TREE_KEYS.start);
+    let max = base.keys().next_back().copied().unwrap_or(TREE_KEYS.end);
+    let in_range = within(TREE_KEYS.start, TREE_KEYS.end);
+    let mut run: Vec<(u64, u32)> = match shape {
+        RunShape::Empty => Vec::new(),
+        RunShape::Single => raw.iter().take(1).map(in_range).collect(),
+        RunShape::Sparse => raw.iter().take(4).map(in_range).collect(),
+        RunShape::Dense | RunShape::OntoEmpty => raw.iter().map(in_range).collect(),
+        RunShape::BelowMin => raw.iter().map(within(0, min)).collect(),
+        RunShape::AboveMax => raw.iter().map(within(max + 1, max + 50_000)).collect(),
+        RunShape::Overlap => base
+            .keys()
+            .step_by(2)
+            .zip(raw.iter().cycle())
+            .map(|(&k, &(_, v))| (k, v))
+            .chain(raw.iter().take(raw.len() / 2).map(in_range))
+            .collect(),
+    };
+    run.sort_by_key(|&(k, _)| k);
+    run
+}
+
+fn check_extended(
+    tree: &BPlusTree<u64, u32>,
+    reference: &BPlusTree<u64, u32>,
+    model: &BTreeMap<u64, u32>,
+) {
+    check_equal(tree, model);
+    let tree_pairs: Vec<(u64, u32)> = tree.iter().map(|(k, v)| (*k, *v)).collect();
+    let ref_pairs: Vec<(u64, u32)> = reference.iter().map(|(k, v)| (*k, *v)).collect();
+    assert_eq!(
+        tree_pairs, ref_pairs,
+        "bulk merge differs from per-item inserts"
+    );
+    for (i, (k, _)) in tree_pairs.iter().enumerate() {
+        assert_eq!(tree.rank(k), i);
+        assert_eq!(tree.select(i).map(|(sk, _)| *sk), Some(*k));
+    }
+    assert_eq!(tree.select(tree_pairs.len()), None);
 }
 
 proptest! {
@@ -147,5 +229,35 @@ proptest! {
             tree.insert(*k, ());
         }
         tree.check_invariants();
+    }
+
+    #[test]
+    fn extend_sorted_equals_per_item_inserts(
+        base_keys in prop::collection::btree_set(TREE_KEYS, 0..800),
+        raw in prop::collection::vec((0u64..1_000_000, any::<u32>()), 1..1_200),
+    ) {
+        for degree in EXTEND_DEGREES {
+            for shape in RUN_SHAPES {
+                let mut tree: BPlusTree<u64, u32> = BPlusTree::with_degree(degree);
+                let mut model: BTreeMap<u64, u32> = BTreeMap::new();
+                if !matches!(shape, RunShape::OntoEmpty) {
+                    for &k in &base_keys {
+                        tree.insert(k, k as u32);
+                        model.insert(k, k as u32);
+                    }
+                }
+                let run = run_of(shape, &model, &raw);
+                let mut reference: BPlusTree<u64, u32> = BPlusTree::with_degree(degree);
+                for (k, v) in tree.iter() {
+                    reference.insert(*k, *v);
+                }
+                for &(k, v) in &run {
+                    reference.insert(k, v);
+                    model.insert(k, v);
+                }
+                tree.extend_sorted(run);
+                check_extended(&tree, &reference, &model);
+            }
+        }
     }
 }

@@ -1,6 +1,18 @@
 //! The parallel per-PE local reservoir: chunked jump scans on the
 //! work-stealing pool, merged into the B+ tree by a sequential epilogue.
 //!
+//! ## The epilogue: sorted runs, one run merge, one tree merge
+//!
+//! Each worker sorts the survivors of every chunk it scans, so sorting
+//! runs in parallel and counts as worker scan time. The sequential
+//! epilogue then merges the chunks' sorted runs into one run (a heap
+//! merge over the run heads, ties in chunk order, so a repeated key keeps
+//! the later chunk's value as chunk-order inserts would) and hands it to
+//! [`BPlusTree::extend_sorted`], which merges it into the tree in one
+//! descent, linear in the run and in the leaves it touches. The tree this
+//! leaves is exactly the one inserting the candidates one at a time, in
+//! chunk order, would leave.
+//!
 //! ## Why chunking preserves the sampling law
 //!
 //! In threshold mode the sequential scan realizes, for every item `i`, the
@@ -28,12 +40,15 @@
 //! *subset* of the final merged key multiset, hence an upper bound on the
 //! final threshold — so the filter only ever discards items that cannot be
 //! among the final `cap` smallest, no matter how stale the snapshot a
-//! worker read. The sequential epilogue merges all surviving candidates
-//! into the tree and re-prunes it to the `cap` smallest (the post-merge
-//! threshold), which makes the final reservoir *exactly* the `cap`
-//! smallest of the full key multiset — independent of snapshot timing,
-//! steal order, and thread count.
+//! worker read. The sequential epilogue stops the run merge after the
+//! run's `cap` smallest keys (no other candidate can survive), merges
+//! them into the tree and re-prunes it to the `cap` smallest (the
+//! post-merge threshold), which makes the final reservoir *exactly* the
+//! `cap` smallest of the full key multiset — independent of snapshot
+//! timing, steal order, and thread count.
 
+use std::cmp::Reverse;
+use std::collections::binary_heap::{BinaryHeap, PeekMut};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 use std::time::Instant;
@@ -64,8 +79,8 @@ pub(crate) const CHUNK_STREAM: u16 = 0x7063;
 pub struct ParScanStats {
     /// Items offered.
     pub processed: u64,
-    /// Candidates merged into the tree (in growing mode, counted before
-    /// the epilogue's re-prune to `cap`).
+    /// Candidates the chunk scans kept (in growing mode, counted before
+    /// the epilogue cuts the run and re-prunes the tree to `cap`).
     pub inserted: u64,
     /// Skip values drawn across all chunks.
     pub jumps: u64,
@@ -78,11 +93,14 @@ pub struct ParScanStats {
     /// per-scope pool, 0 on a persistent crew ([`Pool::persistent`]) —
     /// the counter that shows what the persistent pool saves per batch.
     pub spawns: u64,
-    /// Seconds each worker spent scanning (index = worker id; worker 0 is
-    /// the calling thread).
+    /// Seconds each worker spent scanning, including sorting its chunks'
+    /// survivors (index = worker id; worker 0 is the calling thread).
     pub worker_scan_s: Vec<f64>,
-    /// Seconds of the sequential merge epilogue (tree insertion and the
-    /// growing-mode re-prune). In the concurrent merge mode this is only
+    /// Seconds of the sequential merge epilogue: merging the sorted chunk
+    /// runs into one run, merging that run into the tree
+    /// ([`BPlusTree::extend_sorted`]) and the growing-mode re-prune. The
+    /// per-chunk sorts run on the workers and count in
+    /// [`Self::worker_scan_s`]. In the concurrent merge mode this is only
     /// the post-scan re-prune + size refresh — insertion happened inside
     /// the workers.
     pub merge_s: f64,
@@ -294,23 +312,29 @@ impl ParLocalReservoir {
                             scan_chunk_uniform(chunk, t, &mut rng, &mut out);
                         }
                     }
+                    // Sorting here, not in the kernels the concurrent
+                    // merge shares, keeps it on the scanning worker.
+                    out.candidates.sort_by_key(|&(key, _)| key);
                     *slot.lock().expect("chunk slot poisoned") = out;
                 });
             }
         });
 
-        // Sequential epilogue: merge every chunk's survivors (chunk order)
-        // into the tree, then re-prune growing mode to the post-merge
-        // threshold — the cap-th smallest key of the merged multiset.
+        // Sequential epilogue: merge the chunks' sorted runs into one run —
+        // in growing mode only its cap smallest keys, as no other run entry
+        // can survive — merge the run into the tree in one descent, and
+        // re-prune growing mode to the post-merge threshold, the cap-th
+        // smallest key of the merged multiset.
         let t0 = Instant::now();
-        for slot in &slots {
-            let out = std::mem::take(&mut *slot.lock().expect("chunk slot poisoned"));
+        let mut runs = Vec::with_capacity(nchunks);
+        for slot in slots {
+            let out = slot.into_inner().expect("chunk slot poisoned");
             stats.jumps += out.jumps;
             stats.inserted += out.candidates.len() as u64;
-            for (key, weight) in out.candidates {
-                self.tree.insert(key, weight);
-            }
+            runs.push(out.candidates);
         }
+        let run = merge_runs(runs, if growing { cap } else { usize::MAX });
+        self.tree.extend_sorted(run);
         if growing && self.tree.len() > self.cap {
             let _ = self.tree.split_at_rank(self.cap);
         }
@@ -321,6 +345,37 @@ impl ParLocalReservoir {
         stats.worker_scan_s = report.worker_busy_s;
         stats
     }
+}
+
+/// Merge the chunks' sorted runs (in chunk order) into one sorted run of
+/// distinct keys, stopping after `limit` keys. On a repeated key the later
+/// chunk's entry wins, exactly as it did under chunk-order inserts.
+fn merge_runs(runs: Vec<Vec<(SampleKey, f64)>>, limit: usize) -> Vec<(SampleKey, f64)> {
+    let total: usize = runs.iter().map(Vec::len).sum();
+    let mut out = Vec::with_capacity(total.min(limit));
+    // Min-heap of each run's head key, ties broken by chunk index.
+    let mut heads: BinaryHeap<Reverse<(SampleKey, usize)>> = runs
+        .iter()
+        .enumerate()
+        .filter_map(|(c, run)| run.first().map(|e| Reverse((e.0, c))))
+        .collect();
+    let mut next = vec![0usize; runs.len()];
+    while let Some(mut head) = heads.peek_mut() {
+        let Reverse((key, c)) = *head;
+        let weight = runs[c][next[c]].1;
+        next[c] += 1;
+        match runs[c].get(next[c]) {
+            Some(e) => *head = Reverse((e.0, c)),
+            None => drop(PeekMut::pop(head)),
+        }
+        let full = out.len() == limit;
+        match out.last_mut() {
+            Some((last, w)) if *last == key => *w = weight,
+            _ if full => break,
+            _ => out.push((key, weight)),
+        }
+    }
+    out
 }
 
 /// Fixed-threshold weighted chunk scan: blocked exponential jumps, the
@@ -598,6 +653,109 @@ mod tests {
         );
         assert_eq!(per_scope_spawns, 3, "per-scope pool spawns threads − 1");
         assert_eq!(crew_spawns, 0, "persistent crew spawns nothing per batch");
+    }
+
+    /// The per-item epilogue the bulk merge replaced, as the test oracle:
+    /// the same chunk kernels on the same streams, run one chunk after
+    /// another, every candidate inserted into the tree in chunk order,
+    /// then growing mode re-pruned to `cap`. Returns (inserted, jumps).
+    fn per_item_reference(
+        r: &mut ParLocalReservoir,
+        items: &[Item],
+        threshold: Option<f64>,
+        uniform: bool,
+    ) -> (u64, u64) {
+        r.batch_no += 1;
+        let shared = AtomicU64::new(
+            match threshold {
+                Some(t) => t,
+                None if r.tree.len() >= r.cap => r.tree.max().unwrap().0.key,
+                None => f64::INFINITY,
+            }
+            .to_bits(),
+        );
+        let batch_seeds = SeedSequence::new(
+            r.seeds
+                .seed_for(r.batch_no as usize, StreamKind::Custom(BATCH_STREAM)),
+        );
+        let (mut inserted, mut jumps) = (0, 0);
+        for (c, range) in chunk_ranges(items.len(), r.chunk_items).enumerate() {
+            let mut rng = batch_seeds.rng_for(c, StreamKind::Custom(CHUNK_STREAM));
+            let mut out = ChunkOut::default();
+            let chunk = &items[range];
+            match threshold {
+                None => grow_chunk(chunk, r.cap, &shared, uniform, &mut rng, &mut out),
+                Some(t) if uniform => scan_chunk_uniform(chunk, t, &mut rng, &mut out),
+                Some(t) => scan_chunk_weighted(chunk, t, &mut rng, &mut out),
+            }
+            jumps += out.jumps;
+            inserted += out.candidates.len() as u64;
+            for (key, weight) in out.candidates {
+                r.tree.insert(key, weight);
+            }
+        }
+        if threshold.is_none() && r.tree.len() > r.cap {
+            let _ = r.tree.split_at_rank(r.cap);
+        }
+        (inserted, jumps)
+    }
+
+    fn contents(r: &ParLocalReservoir) -> Vec<(u64, u64, u64)> {
+        r.tree()
+            .iter()
+            .map(|(k, w)| (k.key.to_bits(), k.id, w.to_bits()))
+            .collect()
+    }
+
+    #[test]
+    fn bulk_merge_equals_per_item_inserts() {
+        // cap 200 with 256-item chunks never spills a chunk buffer, so the
+        // growing-mode candidate set (and `inserted`) does not depend on
+        // how the workers interleave.
+        let (cap, chunk_items) = (200, 256);
+        // Growing: a first fill below or past cap (past cap, the run cut
+        // alone decides the tree), then a batch that spills past cap.
+        // Threshold: at the tree max (dense), then at lower ranks
+        // (sparse).
+        let plan = |first: u64| {
+            [
+                (first, None),
+                (3_000, None),
+                (2_000, Some(cap - 1)),
+                (5_000, Some(cap / 4)),
+                (5_000, Some(cap / 16)),
+            ]
+        };
+        for uniform in [false, true] {
+            for threads in [1, 2, 4] {
+                for first in [150, 1_000] {
+                    let mut bulk =
+                        ParLocalReservoir::new(cap, 8, threads, 42).with_chunk_items(chunk_items);
+                    let mut reference =
+                        ParLocalReservoir::new(cap, 8, 1, 42).with_chunk_items(chunk_items);
+                    let weight = |i: u64| if uniform { 1.0 } else { 1.0 + (i % 7) as f64 };
+                    for (b, (n, rank)) in plan(first).into_iter().enumerate() {
+                        let items: Vec<Item> = (0..n)
+                            .map(|i| Item::new(b as u64 * 100_000 + i, weight(i)))
+                            .collect();
+                        let threshold = rank.map(|r| reference.tree().select(r).unwrap().0.key);
+                        let stats = if uniform {
+                            bulk.process_uniform(&items, threshold)
+                        } else {
+                            bulk.process_weighted(&items, threshold)
+                        };
+                        let (inserted, jumps) =
+                            per_item_reference(&mut reference, &items, threshold, uniform);
+                        let case =
+                            format!("uniform {uniform} threads {threads} first {first} batch {b}");
+                        bulk.tree().check_invariants();
+                        assert_eq!(contents(&bulk), contents(&reference), "{case}");
+                        assert_eq!(stats.inserted, inserted, "{case}");
+                        assert_eq!(stats.jumps, jumps, "{case}");
+                    }
+                }
+            }
+        }
     }
 
     #[test]
