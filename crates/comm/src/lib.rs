@@ -14,6 +14,13 @@
 //! * [`ThreadComm`] — a real parallel runtime: one OS thread per PE,
 //!   `std::sync::mpsc` channels as the interconnect, typed mailboxes with
 //!   tag matching. Used by tests, examples and the real-speedup benches.
+//!   A receive spins on the mailbox for a fixed budget before it blocks,
+//!   because a collective hop usually lands within a microsecond or two
+//!   and a futex wake-up costs several; the budget is a constant, as it
+//!   changes only *when* a PE sees a message, never what it sees. The
+//!   runtime is fail-stop: a PE that panics poisons its peers' mailboxes,
+//!   so they panic with "peer PE k failed at collective #n" instead of
+//!   blocking forever, and [`run_threads`] re-raises the first PE's panic.
 //! * [`CommStats`] — per-endpoint message/word/round counters, so
 //!   experiments can report exact communication volumes.
 //! * [`CostModel`] — the α–β (latency/bandwidth) model used by the cluster

@@ -92,23 +92,23 @@ pub struct SampleEpoch {
     /// Selection rounds the finalization spent producing this epoch (0
     /// when the union already fit in `k`).
     pub rounds: u32,
-    /// FNV-1a digest over every field above. A reader that recomputes it
+    /// Word-wise digest over every field above. A reader that recomputes it
     /// and matches proves the epoch it holds is internally consistent —
     /// the stress suite's torn-read oracle.
     pub checksum: u64,
 }
 
-/// FNV-1a over a word stream: tiny, dependency-free, and plenty for a
-/// consistency witness (this is an integrity check, not a defense).
-fn fnv1a(words: impl Iterator<Item = u64>) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for w in words {
-        for b in w.to_le_bytes() {
-            h ^= b as u64;
-            h = h.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-    }
-    h
+/// Odd multiplier of the checksum's word mix (the 64-bit golden ratio).
+const MIX_MUL: u64 = 0x9e37_79b9_7f4a_7c15;
+
+/// One checksum step: fold word `w` into lane state `h`. For a fixed `w`
+/// the step is a bijection of `h` (xor, multiply by an odd constant,
+/// rotate), and for a fixed `h` a bijection of `w`, so changing any one
+/// word of a lane's stream always changes the lane's final state. This is
+/// an integrity check, not a defense.
+#[inline]
+fn mix(h: u64, w: u64) -> u64 {
+    (h ^ w).wrapping_mul(MIX_MUL).rotate_left(29)
 }
 
 impl SampleEpoch {
@@ -165,11 +165,16 @@ impl SampleEpoch {
             self.rounds as u64,
             self.items.len() as u64,
         ];
-        let body = self
-            .items
-            .iter()
-            .flat_map(|s| [s.id, s.weight.to_bits(), s.key.to_bits()]);
-        fnv1a(head.into_iter().chain(body))
+        let h = head.into_iter().fold(0xcbf2_9ce4_8422_2325, mix);
+        // Three independent lanes, one per item field, so the per-item
+        // multiplies overlap instead of forming one serial chain.
+        let (mut ids, mut weights, mut keys) = (1u64, 2u64, 3u64);
+        for s in &self.items {
+            ids = mix(ids, s.id);
+            weights = mix(weights, s.weight.to_bits());
+            keys = mix(keys, s.key.to_bits());
+        }
+        mix(mix(mix(h, ids), weights), keys)
     }
 
     /// Whether the stored checksum matches the payload — `false` means a

@@ -3,10 +3,11 @@
 use proptest::prelude::*;
 use reservoir::comm::run_threads;
 use reservoir::dist::threaded::DistributedSampler;
-use reservoir::dist::{DistConfig, ShardedSampler};
+use reservoir::dist::{DistConfig, SampleEpoch, ShardedSampler};
 use reservoir::rng::{default_rng, Rng64};
 use reservoir::seq::{UniformJumpSampler, WeightedJumpSampler};
 use reservoir::stream::{route_by_id, Item, ShardRouter};
+use reservoir::SampleItem;
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
@@ -278,5 +279,72 @@ proptest! {
             let b: Vec<u64> = big[s].local_items().iter().map(|m| m.id).collect();
             prop_assert_eq!(a, b, "shard {} members", s);
         }
+    }
+
+    /// The snapshot checksum witnesses every single-bit corruption of any
+    /// header or item word, and a reordering of two distinct items.
+    #[test]
+    fn epoch_checksum_detects_bit_flips_and_item_swaps(
+        head in (any::<u64>(), any::<u64>()),
+        fields in prop::collection::vec((0.0f64..1.0, 1e-3f64..1e3), 2..24),
+        swap in (any::<u64>(), any::<u64>()),
+    ) {
+        let (base, salt) = head;
+        let items: Vec<SampleItem> = fields
+            .iter()
+            .enumerate()
+            .map(|(i, &(key, weight))| SampleItem { id: base.wrapping_add(i as u64), weight, key })
+            .collect();
+        let n = items.len();
+        let e = SampleEpoch::new(
+            salt >> 8,
+            items,
+            salt % 1000,
+            salt % 1000 + 2 * n as u64,
+            (salt % 7) as usize,
+            8,
+            Some(0.5),
+            (salt % 5) as u32,
+        );
+        prop_assert!(e.verify());
+        type Flip = fn(&mut SampleEpoch, u64);
+        let head_flips: [Flip; 7] = [
+            |e, f| e.epoch ^= f,
+            |e, f| e.offset ^= f,
+            |e, f| e.total ^= f,
+            |e, f| e.pe ^= f as usize,
+            |e, f| e.pes ^= f as usize,
+            |e, f| e.threshold = e.threshold.map(|t| f64::from_bits(t.to_bits() ^ f)),
+            |e, f| e.rounds ^= f as u32,
+        ];
+        for bit in 0..64 {
+            let f = 1u64 << bit;
+            for (word, flip) in head_flips.iter().enumerate() {
+                let mut torn = e.clone();
+                flip(&mut torn, f);
+                if torn != e {
+                    prop_assert!(!torn.verify(), "head word {} bit {}", word, bit);
+                }
+            }
+            for i in 0..n {
+                let mut torn = e.clone();
+                torn.items[i].id ^= f;
+                prop_assert!(!torn.verify(), "item {} id bit {}", i, bit);
+                let mut torn = e.clone();
+                torn.items[i].weight = f64::from_bits(torn.items[i].weight.to_bits() ^ f);
+                prop_assert!(!torn.verify(), "item {} weight bit {}", i, bit);
+                let mut torn = e.clone();
+                torn.items[i].key = f64::from_bits(torn.items[i].key.to_bits() ^ f);
+                prop_assert!(!torn.verify(), "item {} key bit {}", i, bit);
+            }
+        }
+        let mut torn = e.clone();
+        torn.threshold = None;
+        prop_assert!(!torn.verify(), "threshold dropped");
+        let i = (swap.0 % n as u64) as usize;
+        let j = (i + 1 + (swap.1 % (n as u64 - 1)) as usize) % n;
+        let mut torn = e.clone();
+        torn.items.swap(i, j);
+        prop_assert!(!torn.verify(), "items {} and {} swapped", i, j);
     }
 }
